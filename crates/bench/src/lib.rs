@@ -15,4 +15,4 @@ pub mod perfjson;
 pub mod report;
 
 pub use experiments::*;
-pub use report::{print_rows, Row};
+pub use report::{print_rows, rows_json, Row};

@@ -4,6 +4,7 @@
 // module invariants. See DESIGN.md "Static analysis & invariants".
 #![allow(clippy::indexing_slicing)]
 
+use kdd_obs::json::{obj, Json};
 use serde::{Deserialize, Serialize};
 
 /// One data point of one figure/table.
@@ -47,6 +48,29 @@ impl Row {
     pub fn metric(&self, name: &str) -> Option<f64> {
         self.metrics.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
+
+    /// The row as a JSON object; `metrics` is an array of
+    /// `[name, value]` pairs in row order.
+    pub fn to_json(&self) -> Json {
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|(k, v)| Json::Arr(vec![Json::Str(k.clone()), Json::Num(*v)]))
+            .collect();
+        obj(vec![
+            ("experiment", Json::Str(self.experiment.clone())),
+            ("workload", Json::Str(self.workload.clone())),
+            ("x_label", Json::Str(self.x_label.clone())),
+            ("x", Json::Num(self.x)),
+            ("policy", Json::Str(self.policy.clone())),
+            ("metrics", Json::Arr(metrics)),
+        ])
+    }
+}
+
+/// Render rows as a JSON array (`repro --json`), every number exact.
+pub fn rows_json(rows: &[Row]) -> String {
+    Json::Arr(rows.iter().map(Row::to_json).collect()).render_exact()
 }
 
 /// Render rows as aligned text tables, grouped by (experiment, workload).
@@ -88,6 +112,37 @@ mod tests {
         let r = Row::new("fig5", "Fin1", "cache", 1.0, "WT", vec![("hit", 0.5), ("mib", 12.0)]);
         assert_eq!(r.metric("hit"), Some(0.5));
         assert_eq!(r.metric("nope"), None);
+    }
+
+    #[test]
+    fn rows_json_parses_back_exactly() {
+        let rows = vec![
+            Row::new("fig5", "Fin1", "cache", 1.0, "WT", vec![("hit", 0.1 + 0.2), ("n", 3.0)]),
+            Row::new("table1", "quote\"d", "scale", 100.0, "-", vec![("tiny", 1.5e-9)]),
+            Row::new("fig9", "Fin1", "x", -2.5, "KDD-25%", vec![("big", 12_345_678.901_234_5)]),
+        ];
+        let doc = kdd_obs::json::parse(&rows_json(&rows)).expect("valid JSON");
+        let items = doc.as_arr().expect("an array of rows");
+        assert_eq!(items.len(), rows.len());
+        for (item, row) in items.iter().zip(&rows) {
+            let text = |k: &str| item.get(k).and_then(Json::as_str).map(str::to_string);
+            assert_eq!(text("experiment"), Some(row.experiment.clone()));
+            assert_eq!(text("workload"), Some(row.workload.clone()));
+            assert_eq!(text("x_label"), Some(row.x_label.clone()));
+            assert_eq!(text("policy"), Some(row.policy.clone()));
+            assert_eq!(item.get("x").and_then(Json::as_f64), Some(row.x));
+            let metrics: Vec<(String, f64)> = item
+                .get("metrics")
+                .and_then(Json::as_arr)
+                .expect("metrics array")
+                .iter()
+                .map(|pair| {
+                    let pair = pair.as_arr().expect("[name, value]");
+                    (pair[0].as_str().unwrap().to_string(), pair[1].as_f64().unwrap())
+                })
+                .collect();
+            assert_eq!(metrics, row.metrics, "values must survive the round trip bit for bit");
+        }
     }
 
     #[test]

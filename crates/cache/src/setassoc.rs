@@ -38,6 +38,10 @@ pub enum PageState {
     OldVersion,
 }
 
+/// Number of [`PageState`] variants (the width of the count tables).
+const STATES: usize = 6;
+const _: () = assert!(PageState::OldVersion as usize + 1 == STATES);
+
 /// How LBAs map to cache sets.
 ///
 /// §III-B: "DAZ pages in the same parity stripe are mapped to the same
@@ -135,10 +139,10 @@ pub struct SetAssocCache {
     lru: Vec<LruList>,
     /// LBA → global slot.
     map: FastMap<u64, u32>,
-    /// Per-set free-slot counts.
-    free_per_set: Vec<u32>,
-    /// Per-set delta (DEZ) page counts.
-    delta_per_set: Vec<u32>,
+    /// Per-set slot counts by state (indexed by [`PageState`]).
+    set_counts: Vec<[u32; STATES]>,
+    /// Whole-cache slot counts by state.
+    counts: [usize; STATES],
     /// Set-placement grouping.
     grouping: SetGrouping,
 }
@@ -155,8 +159,8 @@ impl SetAssocCache {
             states: vec![PageState::Free; slots],
             lru: (0..sets).map(|_| LruList::with_capacity(geometry.ways as usize)).collect(),
             map: FastMap::default(),
-            free_per_set: vec![geometry.ways; sets],
-            delta_per_set: vec![0; sets],
+            set_counts: vec![free_only(geometry.ways); sets],
+            counts: free_only(slots),
             grouping,
         }
     }
@@ -223,16 +227,19 @@ impl SetAssocCache {
     /// Change a slot's state (keeps mapping and recency).
     pub fn set_state(&mut self, slot: u32, state: PageState) {
         debug_assert_ne!(state, PageState::Free, "use free_slot to free");
-        let old = self.states[slot as usize];
-        debug_assert_ne!(old, PageState::Free, "slot not allocated");
+        debug_assert_ne!(self.states[slot as usize], PageState::Free, "slot not allocated");
+        self.put_state(slot, state);
+    }
+
+    /// The one place a slot's state changes, keeping the count tables in
+    /// step.
+    fn put_state(&mut self, slot: u32, state: PageState) {
         let set = self.set_of_slot(slot);
-        if old == PageState::Delta && state != PageState::Delta {
-            self.delta_per_set[set] -= 1;
-        }
-        if old != PageState::Delta && state == PageState::Delta {
-            self.delta_per_set[set] += 1;
-        }
-        self.states[slot as usize] = state;
+        let old = std::mem::replace(&mut self.states[slot as usize], state);
+        self.set_counts[set][old as usize] -= 1;
+        self.set_counts[set][state as usize] += 1;
+        self.counts[old as usize] -= 1;
+        self.counts[state as usize] += 1;
     }
 
     /// Mark a slot most-recently-used.
@@ -262,17 +269,13 @@ impl SetAssocCache {
         let set = self.set_of_slot(slot);
         let local = self.local(slot);
         debug_assert_ne!(self.states[slot as usize], PageState::Free);
-        if self.states[slot as usize] == PageState::Delta {
-            self.delta_per_set[set] -= 1;
-        }
         let tag = self.tags[slot as usize];
         if tag != TAG_NONE {
             self.map.remove(&tag);
             self.tags[slot as usize] = TAG_NONE;
         }
-        self.states[slot as usize] = PageState::Free;
+        self.put_state(slot, PageState::Free);
         self.lru[set].remove(local);
-        self.free_per_set[set] += 1;
     }
 
     /// Insert `lba` into its set with the given state, evicting the LRU
@@ -291,7 +294,7 @@ impl SetAssocCache {
         // Fast path: a free slot. If the free count and the scan ever
         // disagree (an accounting bug), fall through to eviction rather
         // than panicking mid-insert.
-        if self.free_per_set[set] > 0 {
+        if self.set_counts[set][PageState::Free as usize] > 0 {
             if let Some(slot) = self.find_free_in_set(set) {
                 self.occupy(set, slot, lba, state);
                 return InsertOutcome::Inserted { slot };
@@ -318,16 +321,14 @@ impl SetAssocCache {
     /// holds the fewest delta pages, if any set has a free slot.
     pub fn alloc_delta_slot(&mut self) -> Option<u32> {
         let set = (0..self.sets)
-            .filter(|&s| self.free_per_set[s] > 0)
-            .min_by_key(|&s| self.delta_per_set[s])?;
+            .filter(|&s| self.set_counts[s][PageState::Free as usize] > 0)
+            .min_by_key(|&s| self.set_counts[s][PageState::Delta as usize])?;
         // The filter above guarantees a free slot; if the accounting is
         // broken, report exhaustion instead of panicking.
         let slot = self.find_free_in_set(set)?;
         let local = self.local(slot);
-        self.states[slot as usize] = PageState::Delta;
+        self.put_state(slot, PageState::Delta);
         self.lru[set].push_front(local);
-        self.free_per_set[set] -= 1;
-        self.delta_per_set[set] += 1;
         Some(slot)
     }
 
@@ -352,10 +353,8 @@ impl SetAssocCache {
         assert_eq!(self.states[slot as usize], PageState::Free, "slot {slot} occupied");
         let set = self.set_of_slot(slot);
         let local = self.local(slot);
-        self.states[slot as usize] = PageState::Delta;
+        self.put_state(slot, PageState::Delta);
         self.lru[set].push_front(local);
-        self.free_per_set[set] -= 1;
-        self.delta_per_set[set] += 1;
     }
 
     fn find_free_in_set(&self, set: usize) -> Option<u32> {
@@ -369,19 +368,15 @@ impl SetAssocCache {
         debug_assert_eq!(self.states[slot as usize], PageState::Free);
         debug_assert_ne!(state, PageState::Free);
         self.tags[slot as usize] = lba;
-        self.states[slot as usize] = state;
+        self.put_state(slot, state);
         self.map.insert(lba, slot);
         let local = self.local(slot);
         self.lru[set].push_front(local);
-        self.free_per_set[set] -= 1;
-        if state == PageState::Delta {
-            self.delta_per_set[set] += 1;
-        }
     }
 
     /// Count slots in a given state across the whole cache.
     pub fn count_state(&self, state: PageState) -> usize {
-        self.states.iter().filter(|&&s| s == state).count()
+        self.counts[state as usize]
     }
 
     /// Iterate `(slot, lba, state)` over all occupied, mapped slots.
@@ -395,8 +390,15 @@ impl SetAssocCache {
 
     /// Free slots remaining (whole cache).
     pub fn free_slots(&self) -> u64 {
-        self.free_per_set.iter().map(|&f| f as u64).sum()
+        self.count_state(PageState::Free) as u64
     }
+}
+
+/// A count table with every one of `n` slots free.
+fn free_only<T: Copy + Default>(n: T) -> [T; STATES] {
+    let mut counts = [T::default(); STATES];
+    counts[PageState::Free as usize] = n;
+    counts
 }
 
 #[cfg(test)]

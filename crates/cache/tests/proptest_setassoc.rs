@@ -16,7 +16,25 @@ enum Op {
     Touch(u64),
     Free(u64),
     MarkOld(u64),
+    Restate(u64, PageState),
     AllocDelta,
+    FreeDelta,
+}
+
+/// Every [`PageState`].
+const ALL_STATES: [PageState; 6] = [
+    PageState::Free,
+    PageState::Clean,
+    PageState::Old,
+    PageState::Delta,
+    PageState::Dirty,
+    PageState::OldVersion,
+];
+
+/// `count_state` recomputed by scanning every slot.
+fn scan_count(cache: &SetAssocCache, state: PageState) -> usize {
+    let slots = u32::try_from(cache.slots()).expect("test caches are small");
+    (0..slots).filter(|&s| cache.state(s) == state).count()
 }
 
 fn ops(lbas: u64) -> impl Strategy<Value = Op> {
@@ -25,7 +43,9 @@ fn ops(lbas: u64) -> impl Strategy<Value = Op> {
         3 => (0..lbas).prop_map(Op::Touch),
         2 => (0..lbas).prop_map(Op::Free),
         1 => (0..lbas).prop_map(Op::MarkOld),
+        1 => (0..lbas, 1..ALL_STATES.len()).prop_map(|(l, i)| Op::Restate(l, ALL_STATES[i])),
         1 => Just(Op::AllocDelta),
+        1 => Just(Op::FreeDelta),
     ]
 }
 
@@ -88,6 +108,17 @@ proptest! {
                         }
                     }
                 }
+                Op::Restate(lba, state) => {
+                    if let Some(slot) = cache.lookup(*lba) {
+                        cache.set_state(slot, *state);
+                        model.insert(*lba, *state);
+                    }
+                }
+                Op::FreeDelta => {
+                    if let Some(slot) = delta_slots.pop() {
+                        cache.free_slot(slot);
+                    }
+                }
                 Op::AllocDelta => {
                     if let Some(slot) = cache.alloc_delta_slot() {
                         prop_assert_eq!(cache.state(slot), PageState::Delta);
@@ -99,6 +130,9 @@ proptest! {
             // Global invariants after every step.
             let occupied = model.len() + delta_slots.len();
             prop_assert_eq!(cache.free_slots(), total - occupied as u64);
+            for state in ALL_STATES {
+                prop_assert_eq!(cache.count_state(state), scan_count(&cache, state), "{:?}", state);
+            }
         }
 
         // Final agreement: every model entry is cached with the right state.
@@ -106,7 +140,8 @@ proptest! {
             let slot = cache.lookup(*lba).expect("model entry missing from cache");
             prop_assert_eq!(cache.state(slot), *state);
         }
-        prop_assert_eq!(cache.count_state(PageState::Delta), delta_slots.len());
+        let mapped_delta = model.values().filter(|&&s| s == PageState::Delta).count();
+        prop_assert_eq!(cache.count_state(PageState::Delta), delta_slots.len() + mapped_delta);
         prop_assert_eq!(
             cache.iter_mapped().count(),
             model.len(),

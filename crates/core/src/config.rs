@@ -8,6 +8,10 @@ use kdd_cache::setassoc::CacheGeometry;
 use serde::{Deserialize, Serialize};
 
 /// Tunables for a KDD cache instance.
+///
+/// The NVRAM staging buffer is not a knob: it holds one page of
+/// compressed deltas, the unit a staging drain packs into one DEZ page
+/// (§III-B/C).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct KddConfig {
     /// Cache shape (slots, associativity, page size).
@@ -19,8 +23,6 @@ pub struct KddConfig {
     /// Metadata partition size as a fraction of the SSD's page count
     /// (Figure 4 sweeps 0.39 %–0.98 %; the paper settles on 0.59 %).
     pub meta_partition_frac: f64,
-    /// NVRAM staging-buffer capacity in bytes (one flash page by default).
-    pub staging_bytes: u32,
     /// Map pages of the same parity stripe to the same cache set (§III-B's
     /// spatial-locality optimisation). Ablation: off → per-page hashing.
     pub stripe_aligned_sets: bool,
@@ -52,7 +54,6 @@ impl KddConfig {
             geometry,
             clean_threshold: 0.90,
             meta_partition_frac: 0.0059,
-            staging_bytes: geometry.page_size,
             stripe_aligned_sets: true,
             nvram_batching: true,
             reclaim_as_clean: false,
@@ -81,7 +82,6 @@ mod tests {
         let g = CacheGeometry { total_pages: 262_144, ways: 64, page_size: 4096 };
         let c = KddConfig::new(g);
         assert!((c.meta_partition_frac - 0.0059).abs() < 1e-12);
-        assert_eq!(c.staging_bytes, 4096);
         // 0.59% of 262144 pages ≈ 1546 pages.
         assert_eq!(c.meta_partition_pages(), 1546);
         assert_eq!(c.clean_trigger_slots(), 235_929);

@@ -29,6 +29,8 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::config::KddConfig;
+pub use crate::dez::DeltaRef;
+use crate::dez::{DeltaLoc, DeltaZone, DezLayout, Dropped};
 use crate::metalog::{CommitBatch, LogEntry, MetaLog};
 use crate::staging::StagingBuffer;
 use kdd_blockdev::error::{DevError, FaultDomain};
@@ -36,7 +38,7 @@ use kdd_blockdev::fault::FaultInjector;
 use kdd_blockdev::nvram::Nvram;
 use kdd_blockdev::ssd::SsdDevice;
 use kdd_cache::policies::PendingRows;
-use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
+use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache, SetGrouping};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::codec;
 use kdd_delta::xor::xor_into;
@@ -107,17 +109,6 @@ pub enum EntryState {
     Old,
     /// Mapping removed (tombstone).
     Free,
-}
-
-/// Where a committed delta lives inside the DEZ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaRef {
-    /// DEZ cache slot.
-    pub slot: u32,
-    /// Byte offset within the DEZ page.
-    pub off: u16,
-    /// Compressed length in bytes.
-    pub len: u16,
 }
 
 /// One persistent mapping entry (Figure 3's fields).
@@ -221,18 +212,21 @@ fn le_u16(b: &[u8], at: usize) -> Option<u16> {
     b.get(at..at.checked_add(2)?).and_then(|s| <[u8; 2]>::try_from(s).ok()).map(u16::from_le_bytes)
 }
 
-/// Where a page's delta currently lives (volatile index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeltaLoc {
-    Staged,
-    Dez(DeltaRef),
+/// The cache directory: the pages of one parity row share a set.
+fn directory(config: &KddConfig, raid: &RaidArray) -> SetAssocCache {
+    let grouping = SetGrouping::ParityRow {
+        chunk_pages: raid.layout().chunk_pages,
+        data_disks: raid.layout().data_disks() as u64,
+    };
+    SetAssocCache::new_grouped(config.geometry, grouping)
 }
 
-/// In-memory descriptor of one DEZ page: the pages whose valid delta it
-/// holds.
-#[derive(Debug, Clone, Default)]
-struct DezInfo {
-    lbas: kdd_util::hash::FastSet<u64>,
+/// An empty metadata log that keeps unconfirmed commits in NVRAM, so
+/// recovery can redo a torn tail page instead of failing on it.
+fn metadata_log(meta_pages: u64, page_size: u32) -> MetaLog<MapEntry> {
+    let mut log = MetaLog::new(meta_pages, (page_size as usize - META_HDR) / ENTRY_BYTES);
+    log.enable_inflight_tracking();
+    log
 }
 
 /// NVRAM-resident state: survives power failure.
@@ -259,8 +253,9 @@ pub struct KddEngine {
     cache: SetAssocCache,
     nv: Nvram<NvState>,
     metalog: MetaLog<MapEntry>,
-    delta_loc: FastMap<u64, DeltaLoc>,
-    dez: FastMap<u32, DezInfo>,
+    /// Volatile delta index and DEZ pages (rebuilt from the log on
+    /// recovery).
+    dez: DeltaZone,
     pending_rows: PendingRows,
     stats: CacheStats,
     meta_pages: u64,
@@ -307,24 +302,12 @@ impl KddEngine {
         {
             return Err(EngineError::Layout("page sizes must match across devices".into()));
         }
-        let grouping = kdd_cache::setassoc::SetGrouping::ParityRow {
-            chunk_pages: raid.layout().chunk_pages,
-            data_disks: raid.layout().data_disks() as u64,
-        };
-        let epp = (config.geometry.page_size as usize - META_HDR) / ENTRY_BYTES;
-        let mut metalog = MetaLog::new(meta_pages, epp);
-        // Keep unconfirmed commits in NVRAM so recovery can redo a torn
-        // tail page instead of failing on it.
-        metalog.enable_inflight_tracking();
+        let ps = config.geometry.page_size;
         Ok(KddEngine {
-            cache: SetAssocCache::new_grouped(config.geometry, grouping),
-            nv: Nvram::new(
-                NvState { staging: StagingBuffer::new(config.staging_bytes) },
-                config.staging_bytes as u64 * 2,
-            ),
-            metalog,
-            delta_loc: FastMap::default(),
-            dez: FastMap::default(),
+            cache: directory(&config, &raid),
+            nv: Nvram::new(NvState { staging: StagingBuffer::new(ps) }, u64::from(ps) * 2),
+            metalog: metadata_log(meta_pages, ps),
+            dez: DeltaZone::new(DezLayout::DIRECTORY, ps),
             pending_rows: PendingRows::default(),
             stats: CacheStats::default(),
             meta_pages,
@@ -576,117 +559,107 @@ impl KddEngine {
 
     // ---- delta plumbing ---------------------------------------------------
 
-    /// Drop `lba`'s membership in the DEZ page `r` points into, trimming
-    /// the page once its last live delta is gone.
-    fn release_dez_ref(&mut self, lba: u64, r: DeltaRef) -> Result<(), EngineError> {
-        let Some(info) = self.dez.get_mut(&r.slot) else {
-            // Accounting says the ref exists but the page record is gone:
-            // nothing to release. Flag in debug, degrade to a no-op here.
-            debug_assert!(false, "DEZ accounting broken");
-            return Ok(());
-        };
-        info.lbas.remove(&lba);
-        if info.lbas.is_empty() {
-            self.dez.remove(&r.slot);
-            self.ssd.trim_page(self.slot_lpn(r.slot))?;
-            self.cache.free_slot(r.slot);
-        }
+    /// Give an emptied DEZ page's slot back to the directory. The slot is
+    /// freed before the trim, which is only a hint to the FTL: a failed
+    /// trim must not leak the slot.
+    fn free_dez_page(&mut self, slot: u32) -> Result<(), EngineError> {
+        self.cache.free_slot(slot);
+        self.ssd.trim_page(self.slot_lpn(slot))?;
         Ok(())
     }
 
     fn invalidate_delta(&mut self, lba: u64) -> Result<(), EngineError> {
-        match self.delta_loc.remove(&lba) {
-            Some(DeltaLoc::Staged) => {
+        match self.dez.invalidate(lba) {
+            Dropped::Staged => {
                 self.nv.get_mut().staging.remove(lba);
             }
-            Some(DeltaLoc::Dez(r)) => self.release_dez_ref(lba, r)?,
-            None => {}
+            Dropped::Dez(Some(slot)) => self.free_dez_page(slot)?,
+            Dropped::Dez(None) | Dropped::Nothing => {}
         }
         Ok(())
     }
 
-    /// Pack the staged deltas into DEZ pages: each page carries a
-    /// directory of `(lba, off, len)` records followed by the compressed
-    /// payloads. Usually one page suffices (the staging buffer is one page
-    /// of *payload*); the directory overhead can spill a few deltas into a
-    /// second page.
+    /// Write one DEZ page at `slot`: the directory of `(lba, off, len)`
+    /// records laid out by [`DeltaZone::pack`], then the payloads.
+    /// `deltas` holds at least the payloads `refs` packs, in order.
+    fn write_dez_page(
+        &mut self,
+        slot: u32,
+        refs: &[(u64, DeltaRef)],
+        deltas: &[(u64, Vec<u8>)],
+        t: &mut SimTime,
+    ) -> Result<(), EngineError> {
+        let layout = DezLayout::DIRECTORY;
+        let mut page = self.pool.acquire();
+        page[..2].copy_from_slice(&(refs.len() as u16).to_le_bytes());
+        for (i, ((lba, r), (_, payload))) in refs.iter().zip(deltas).enumerate() {
+            let dir = layout.header + i * layout.entry;
+            page[dir..dir + 8].copy_from_slice(&lba.to_le_bytes());
+            page[dir + 8..dir + 10].copy_from_slice(&r.off.to_le_bytes());
+            page[dir + 10..dir + 12].copy_from_slice(&r.len.to_le_bytes());
+            let off = r.off as usize;
+            page[off..off + payload.len()].copy_from_slice(payload);
+        }
+        let written = self.ssd.write_page(self.slot_lpn(slot), &page);
+        self.pool.release(page);
+        self.charge_stage(Stage::StagingCommit, written?, t);
+        self.stats.ssd_delta_writes += 1;
+        Ok(())
+    }
+
+    /// Pack the staged deltas into DEZ pages. Usually one page suffices
+    /// (the staging buffer is one page of *payload*); the directory
+    /// overhead can spill a few deltas into a second page.
     fn commit_staging(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         if self.nv.get().staging.is_empty() {
             return Ok(());
         }
-        let ps = self.page_size();
         // Snapshot instead of draining: a delta leaves NVRAM only once the
         // DEZ page holding it is durably on flash and logged, so a crash
         // mid-commit never loses an acknowledged write.
-        let mut queue: std::collections::VecDeque<(u64, Vec<u8>)> =
+        let queue: Vec<(u64, Vec<u8>)> =
             // kdd-waiver(KDD006): NVRAM payloads must outlive the borrow on `self.nv` while the DEZ writes mutate the engine.
             self.nv.get().staging.snapshot().map(|(lba, payload)| (lba, payload.clone())).collect();
-        while !queue.is_empty() {
+        let mut next = 0;
+        while let Some(rest) = queue.get(next..).filter(|r| !r.is_empty()) {
             let Some(slot) = self.alloc_dez_slot(t)? else {
                 // Fully pinned cache: the rest simply stays staged.
                 return Ok(());
             };
-            // Greedy fill: each delta costs 12B of directory + its bytes.
-            let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
-            let mut used = 2usize;
-            while let Some((_, payload)) = queue.front() {
-                if used + 12 + payload.len() > ps {
-                    break;
-                }
-                used += 12 + payload.len();
-                let Some(item) = queue.pop_front() else { break };
-                batch.push(item);
-            }
-            assert!(!batch.is_empty(), "one delta must always fit a DEZ page");
-            let mut page = self.pool.acquire();
-            page[..2].copy_from_slice(&(batch.len() as u16).to_le_bytes());
-            let mut dir_off = 2;
-            let mut data_off = 2 + batch.len() * 12;
-            let mut refs = Vec::with_capacity(batch.len());
-            for (lba, payload) in &batch {
-                let len = payload.len();
-                page[dir_off..dir_off + 8].copy_from_slice(&lba.to_le_bytes());
-                page[dir_off + 8..dir_off + 10].copy_from_slice(&(data_off as u16).to_le_bytes());
-                page[dir_off + 10..dir_off + 12].copy_from_slice(&(len as u16).to_le_bytes());
-                page[data_off..data_off + len].copy_from_slice(payload);
-                refs.push((*lba, DeltaRef { slot, off: data_off as u16, len: len as u16 }));
-                dir_off += 12;
-                data_off += len;
-            }
-            let dt = self.ssd.write_page(self.slot_lpn(slot), &page)?;
-            self.charge_stage(Stage::StagingCommit, dt, t);
-            self.pool.release(page);
-            self.stats.ssd_delta_writes += 1;
-            let mut info = DezInfo::default();
-            for (lba, _) in &batch {
-                info.lbas.insert(*lba);
-            }
-            self.dez.insert(slot, info);
+            let refs = self
+                .dez
+                .pack(slot, rest.iter().map(|(lba, payload)| (*lba, payload.len())))
+                .ok_or(EngineError::Inconsistent("a staged delta must fit one DEZ page"))
+                .and_then(|refs| self.write_dez_page(slot, &refs, rest, t).map(|()| refs))
+                // Nothing refers to the slot until its page is written.
+                .inspect_err(|_| self.cache.free_slot(slot))?;
+            next += refs.len();
             // Log the whole DEZ page's mappings as one metalog group, then
             // drop the NVRAM copies. Logging precedes every removal: if the
             // crash lands in between, recovery sees both and the staged
             // copies (same bytes) simply supersede the DEZ references.
-            let mut entries = Vec::with_capacity(refs.len());
-            for (lba, r) in &refs {
-                let slot_of = self
-                    .cache
-                    .lookup(*lba)
-                    .ok_or(EngineError::Inconsistent("old page must be cached"))?;
-                entries.push(MapEntry {
-                    lba_raid: *lba,
-                    slot: slot_of,
-                    state: EntryState::Old,
-                    dez: Some(*r),
-                });
-            }
+            let entries = refs
+                .iter()
+                .map(|&(lba, r)| self.old_entry(lba, r))
+                .collect::<Result<Vec<_>, _>>()?;
             let batches = self.metalog.push_group(entries);
-            self.queue_batches(batches, t)?;
+            // Once pushed, the entries are NVRAM-durable even if their
+            // page write fails, so the DEZ page is committed either way.
+            let logged = self.queue_batches(batches, t);
             for (lba, r) in refs {
                 self.nv.get_mut().staging.remove(lba);
-                self.delta_loc.insert(lba, DeltaLoc::Dez(r));
+                self.dez.place(lba, r);
             }
+            logged?;
         }
         Ok(())
+    }
+
+    /// The mapping entry of an *old* page whose delta lives at `r`.
+    fn old_entry(&self, lba: u64, r: DeltaRef) -> Result<MapEntry, EngineError> {
+        let slot =
+            self.cache.lookup(lba).ok_or(EngineError::Inconsistent("old page must be cached"))?;
+        Ok(MapEntry { lba_raid: lba, slot, state: EntryState::Old, dez: Some(r) })
     }
 
     fn alloc_dez_slot(&mut self, t: &mut SimTime) -> Result<Option<u32>, EngineError> {
@@ -699,24 +672,27 @@ impl KddEngine {
             .find(|&(_, _, s)| s == PageState::Clean)
             .map(|(slot, lba, _)| (slot, lba));
         if let Some((slot, lba)) = victim {
-            self.evict_clean(slot, lba, t)?;
+            self.uncache(lba, slot, t)?;
+            self.stats.evictions += 1;
             return Ok(self.cache.alloc_delta_slot());
         }
         Ok(None)
     }
 
-    fn evict_clean(&mut self, slot: u32, lba: u64, t: &mut SimTime) -> Result<(), EngineError> {
-        // Tombstone first: recovery must never map a trimmed page.
+    /// Drop a cached page: its tombstone is logged before anything is
+    /// trimmed (recovery must never map a trimmed page), then its delta
+    /// and its slot go.
+    fn uncache(&mut self, lba: u64, slot: u32, t: &mut SimTime) -> Result<(), EngineError> {
         self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Free, dez: None }, t)?;
+        self.invalidate_delta(lba)?;
         self.ssd.trim_page(self.slot_lpn(slot))?;
         self.cache.free_slot(slot);
-        self.stats.evictions += 1;
         Ok(())
     }
 
     /// Fetch the staged or committed compressed delta for an *old* page.
     fn read_delta(&mut self, lba: u64, t: &mut SimTime) -> Result<Vec<u8>, EngineError> {
-        match self.delta_loc.get(&lba) {
+        match self.dez.loc(lba) {
             Some(DeltaLoc::Staged) => Ok(self
                 .nv
                 .get()
@@ -726,7 +702,6 @@ impl KddEngine {
                 // kdd-waiver(KDD006): the compressed payload is returned to the caller by value; a copy is inherent to the API.
                 .clone()),
             Some(DeltaLoc::Dez(r)) => {
-                let r = *r;
                 let mut page = self.pool.acquire();
                 let dt = self.ssd.read_page(self.slot_lpn(r.slot), &mut page)?;
                 self.charge_stage(Stage::SsdRead, dt, t);
@@ -819,35 +794,42 @@ impl KddEngine {
     /// surfaced unchanged — only [`KddEngine::power_cycle`] recovers it.
     pub fn read(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
         let before = self.recorder.is_enabled().then_some(self.stats);
-        let result = self.read_dispatch(lba);
+        let result = self.with_fault_policy(|e| e.read_inner(lba), |e| e.raid_read(lba));
         if let (Some(before), Ok((_, t))) = (before, &result) {
             self.observe(ReqKind::Read, lba, &before, *t);
         }
         result
     }
 
-    fn read_dispatch(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
+    /// The fault policy around one request: `cached` serves it through
+    /// the SSD, `raid` in pass-through mode. A transient fault or a
+    /// member-disk death is retried once; a persistent SSD fault falls
+    /// back to a spare (or pass-through) and re-dispatches.
+    fn with_fault_policy<T>(
+        &mut self,
+        mut cached: impl FnMut(&mut Self) -> Result<T, EngineError>,
+        mut raid: impl FnMut(&mut Self) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
         if self.mode == EngineMode::PassThrough {
-            return self.raid_read(lba);
+            return raid(self);
         }
-        match self.read_inner(lba) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                self.stats.faults_observed += 1;
-                if Self::retryable(&e) || Self::disk_persistent(&e) {
-                    self.stats.fault_retries += 1;
-                    self.read_inner(lba)
-                } else if Self::ssd_persistent(&e) {
-                    self.ssd_fault_fallback()?;
-                    if self.mode == EngineMode::PassThrough {
-                        self.raid_read(lba)
-                    } else {
-                        self.read_inner(lba)
-                    }
-                } else {
-                    Err(e)
-                }
+        let e = match cached(self) {
+            Ok(out) => return Ok(out),
+            Err(e) => e,
+        };
+        self.stats.faults_observed += 1;
+        if Self::retryable(&e) || Self::disk_persistent(&e) {
+            self.stats.fault_retries += 1;
+            cached(self)
+        } else if Self::ssd_persistent(&e) {
+            self.ssd_fault_fallback()?;
+            if self.mode == EngineMode::PassThrough {
+                raid(self)
+            } else {
+                cached(self)
             }
+        } else {
+            Err(e)
         }
     }
 
@@ -959,28 +941,7 @@ impl KddEngine {
     }
 
     fn write_dispatch(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
-        if self.mode == EngineMode::PassThrough {
-            return self.raid_write(lba, data);
-        }
-        match self.write_inner(lba, data) {
-            Ok(t) => Ok(t),
-            Err(e) => {
-                self.stats.faults_observed += 1;
-                if Self::retryable(&e) || Self::disk_persistent(&e) {
-                    self.stats.fault_retries += 1;
-                    self.write_inner(lba, data)
-                } else if Self::ssd_persistent(&e) {
-                    self.ssd_fault_fallback()?;
-                    if self.mode == EngineMode::PassThrough {
-                        self.raid_write(lba, data)
-                    } else {
-                        self.write_inner(lba, data)
-                    }
-                } else {
-                    Err(e)
-                }
-            }
-        }
+        self.with_fault_policy(|e| e.write_inner(lba, data), |e| e.raid_write(lba, data))
     }
 
     /// Pass-through read straight from the RAID array.
@@ -1053,8 +1014,8 @@ impl KddEngine {
                 // A delta must fit a DEZ page alongside its directory
                 // record; pages that XOR-compress worse than that are
                 // treated as incompressible (full write-through below).
-                let compressible = comp.len() + 14 <= self.page_size()
-                    && comp.len() as u32 <= self.nv.get().staging.capacity_bytes();
+                let compressible =
+                    DezLayout::DIRECTORY.footprint(1, comp.len()) <= self.page_size();
                 if compressible && !self.nv.get().staging.fits(lba, &comp) {
                     self.commit_staging(&mut t)?;
                 }
@@ -1096,10 +1057,10 @@ impl KddEngine {
                             // staged one in place) before releasing any
                             // committed copy, so at every instant one valid
                             // delta exists.
-                            let old_loc = self.delta_loc.insert(lba, DeltaLoc::Staged);
+                            let freed = self.dez.stage(lba);
                             self.nv.get_mut().staging.insert(lba, comp);
-                            if let Some(DeltaLoc::Dez(r)) = old_loc {
-                                self.release_dez_ref(lba, r)?;
+                            if let Some(slot) = freed {
+                                self.free_dez_page(slot)?;
                             }
                             let row = self.raid.layout().row_of(lba);
                             self.pending_rows.add(row, lba);
@@ -1136,17 +1097,10 @@ impl KddEngine {
                         DISK_OP * 2 * cost.writes().max(1) as u64,
                         &mut t,
                     );
-                    // Tombstone the old mapping before reclaiming its
-                    // flash copies, then re-insert the new version clean.
-                    // A crash in between leaves the lba uncached with the
-                    // data already safe on RAID.
-                    self.log_entry(
-                        MapEntry { lba_raid: lba, slot, state: EntryState::Free, dez: None },
-                        &mut t,
-                    )?;
-                    self.invalidate_delta(lba)?;
-                    self.ssd.trim_page(self.slot_lpn(slot))?;
-                    self.cache.free_slot(slot);
+                    // Drop the old mapping, then re-insert the new version
+                    // clean. A crash in between leaves the lba uncached
+                    // with the data already safe on RAID.
+                    self.uncache(lba, slot, &mut t)?;
                     self.fill_clean(lba, data, &mut t)?;
                     self.clean_row(row, &mut t)?;
                 }
@@ -1183,32 +1137,15 @@ impl KddEngine {
     }
 
     fn fill_clean(&mut self, lba: u64, data: &[u8], t: &mut SimTime) -> Result<(), EngineError> {
-        loop {
+        let slot = loop {
             match self.cache.insert(lba, PageState::Clean, |s| s == PageState::Clean) {
-                InsertOutcome::Inserted { slot } => {
-                    let dt = self.ssd.write_page(self.slot_lpn(slot), data)?;
-                    self.charge_stage(Stage::SsdWrite, dt, t);
-                    self.stats.ssd_data_writes += 1;
-                    self.log_entry(
-                        MapEntry { lba_raid: lba, slot, state: EntryState::Clean, dez: None },
-                        t,
-                    )?;
-                    return Ok(());
-                }
+                InsertOutcome::Inserted { slot } => break slot,
                 InsertOutcome::Evicted { slot, victim_lba, .. } => {
                     self.stats.evictions += 1;
-                    self.log_entry(
-                        MapEntry { lba_raid: victim_lba, slot, state: EntryState::Free, dez: None },
-                        t,
-                    )?;
-                    let dt = self.ssd.write_page(self.slot_lpn(slot), data)?;
-                    self.charge_stage(Stage::SsdWrite, dt, t);
-                    self.stats.ssd_data_writes += 1;
-                    self.log_entry(
-                        MapEntry { lba_raid: lba, slot, state: EntryState::Clean, dez: None },
-                        t,
-                    )?;
-                    return Ok(());
+                    let tombstone =
+                        MapEntry { lba_raid: victim_lba, slot, state: EntryState::Free, dez: None };
+                    self.log_entry(tombstone, t).inspect_err(|_| self.cache.free_slot(slot))?;
+                    break slot;
                 }
                 InsertOutcome::NoRoom => {
                     // Unpin one pending row of this set and retry; bypass
@@ -1219,10 +1156,21 @@ impl KddEngine {
                     }
                 }
             }
-        }
+        };
+        // The slot is mapped before its flash holds `data`: if that fails,
+        // unmap it, or the retry would find `lba` cached and serve (or
+        // build a delta against) the slot's stale page.
+        let dt = self
+            .ssd
+            .write_page(self.slot_lpn(slot), data)
+            .inspect_err(|_| self.cache.free_slot(slot))?;
+        self.charge_stage(Stage::SsdWrite, dt, t);
+        self.stats.ssd_data_writes += 1;
+        self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Clean, dez: None }, t)
     }
 
-    /// Clean the oldest pending row whose pages map to `set`; false when
+    /// Clean one pending row whose pages map to `set` (the first
+    /// [`PendingRows::row_ids`] yields, in its hash-map order); false when
     /// none exists.
     fn clean_one_row_in_set(&mut self, set: usize, t: &mut SimTime) -> Result<bool, EngineError> {
         let row = self.pending_rows.row_ids().into_iter().find(|&row| {
@@ -1268,15 +1216,16 @@ impl KddEngine {
     }
 
     fn maybe_clean(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
+        debug_assert_eq!(
+            self.cache.count_state(PageState::Delta),
+            self.dez.len(),
+            "every DEZ slot in the directory is a page of the zone"
+        );
         let trigger = self.config.clean_trigger_slots();
-        let pinned =
-            self.cache.count_state(PageState::Old) + self.cache.count_state(PageState::Delta);
-        if pinned as u64 * 4 >= trigger * 3 {
+        if self.dez.pinned(&self.cache) * 4 >= trigger * 3 {
             self.compact_dez(t)?;
         }
-        let pinned =
-            self.cache.count_state(PageState::Old) + self.cache.count_state(PageState::Delta);
-        if pinned as u64 >= trigger {
+        if self.dez.pinned(&self.cache) >= trigger {
             self.clean_some(t)?;
         }
         Ok(())
@@ -1287,12 +1236,7 @@ impl KddEngine {
     /// their delta path (mirrors the accounting policy).
     fn clean_some(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         let low = self.config.clean_trigger_slots() * 7 / 8;
-        loop {
-            let pinned = (self.cache.count_state(PageState::Old)
-                + self.cache.count_state(PageState::Delta)) as u64;
-            if pinned <= low {
-                break;
-            }
+        while self.dez.pinned(&self.cache) > low {
             let Some(row) = self.pending_rows.oldest_row() else { break };
             self.clean_row(row, t)?;
         }
@@ -1300,103 +1244,40 @@ impl KddEngine {
         Ok(())
     }
 
-    /// Live compressed bytes in one DEZ page.
-    fn dez_live_bytes(&self, slot: u32) -> u32 {
-        self.dez
-            .get(&slot)
-            .map(|info| {
-                info.lbas
-                    .iter()
-                    .map(|lba| match self.delta_loc.get(lba) {
-                        Some(DeltaLoc::Dez(r)) if r.slot == slot => r.len as u32,
-                        _ => 0,
-                    })
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
     /// Log-structured DEZ compaction (pressure-driven, as in the
-    /// accounting policy): merge the two emptiest pages — read both,
-    /// repack their live deltas into the destination slot, free the
-    /// source — while utilisation is under 85 % and a merge fits.
+    /// accounting policy): while [`DeltaZone::merge_pick`] finds two
+    /// pages to merge, read both, repack their live deltas into the
+    /// destination slot and free the source.
     fn compact_dez(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        let ps = self.page_size();
-        loop {
-            if self.dez.len() < 4 {
-                return Ok(());
+        while let Some((dst, src)) = self.dez.merge_pick() {
+            // Gather live deltas from both pages, destination first.
+            let lbas: Vec<u64> = self.dez.members(dst).chain(self.dez.members(src)).collect();
+            let mut deltas: Vec<(u64, Vec<u8>)> = Vec::with_capacity(lbas.len());
+            for lba in lbas {
+                let payload = self.read_delta(lba, t)?;
+                deltas.push((lba, payload));
             }
-            let live: u64 = self.dez.keys().map(|&s| self.dez_live_bytes(s) as u64).sum();
-            if live * 100 >= self.dez.len() as u64 * ps as u64 * 85 {
-                return Ok(());
-            }
-            let mut pages: Vec<(u32, u32, usize)> = self
+            let refs = self
                 .dez
-                .iter()
-                .map(|(&s, info)| (s, self.dez_live_bytes(s), info.lbas.len()))
-                .collect();
-            pages.sort_by_key(|&(_, b, _)| b);
-            let (dst, db, dn) = pages[0];
-            let (src, sb, sn) = pages[1];
-            // Fit check: both payloads plus the merged directory.
-            if 2 + (dn + sn) * 12 + db as usize + sb as usize > ps {
-                return Ok(());
+                .pack(dst, deltas.iter().map(|(lba, payload)| (*lba, payload.len())))
+                .filter(|refs| refs.len() == deltas.len())
+                .ok_or(EngineError::Inconsistent("merged deltas must fit one DEZ page"))?;
+            // The index moves to the new offsets only once they are on
+            // flash.
+            self.write_dez_page(dst, &refs, &deltas, t)?;
+            self.dez.take_page(src);
+            self.dez.clear_page(dst);
+            for &(lba, r) in &refs {
+                self.dez.place(lba, r);
             }
-            // Gather live deltas from both pages.
-            let mut deltas: Vec<(u64, Vec<u8>)> = Vec::with_capacity(dn + sn);
-            for slot in [dst, src] {
-                let lbas: Vec<u64> = self.dez[&slot].lbas.iter().copied().collect();
-                for lba in lbas {
-                    let payload = self.read_delta(lba, t)?;
-                    deltas.push((lba, payload));
-                }
-            }
-            // Repack into the destination slot.
-            let mut page = self.pool.acquire();
-            page[..2].copy_from_slice(&(deltas.len() as u16).to_le_bytes());
-            let mut dir_off = 2;
-            let mut data_off = 2 + deltas.len() * 12;
-            let mut info = DezInfo::default();
-            for (lba, payload) in &deltas {
-                let len = payload.len();
-                page[dir_off..dir_off + 8].copy_from_slice(&lba.to_le_bytes());
-                page[dir_off + 8..dir_off + 10].copy_from_slice(&(data_off as u16).to_le_bytes());
-                page[dir_off + 10..dir_off + 12].copy_from_slice(&(len as u16).to_le_bytes());
-                page[data_off..data_off + len].copy_from_slice(payload);
-                self.delta_loc.insert(
-                    *lba,
-                    DeltaLoc::Dez(DeltaRef { slot: dst, off: data_off as u16, len: len as u16 }),
-                );
-                info.lbas.insert(*lba);
-                dir_off += 12;
-                data_off += len;
-            }
-            let dt = self.ssd.write_page(self.slot_lpn(dst), &page)?;
-            self.charge_stage(Stage::StagingCommit, dt, t);
-            self.pool.release(page);
-            self.stats.ssd_delta_writes += 1;
-            self.dez.insert(dst, info);
-            // Retire the source page.
-            self.dez.remove(&src);
-            self.ssd.trim_page(self.slot_lpn(src))?;
-            self.cache.free_slot(src);
+            self.free_dez_page(src)?;
             // Re-log the moved mappings (offsets changed).
-            let moved: Vec<u64> = deltas.iter().map(|(l, _)| *l).collect();
-            for lba in moved {
-                let slot_of = self
-                    .cache
-                    .lookup(lba)
-                    .ok_or(EngineError::Inconsistent("old page must be cached"))?;
-                let r = match self.delta_loc.get(&lba) {
-                    Some(DeltaLoc::Dez(r)) => *r,
-                    Some(DeltaLoc::Staged) | None => continue,
-                };
-                self.log_entry(
-                    MapEntry { lba_raid: lba, slot: slot_of, state: EntryState::Old, dez: Some(r) },
-                    t,
-                )?;
+            for (lba, r) in refs {
+                let entry = self.old_entry(lba, r)?;
+                self.log_entry(entry, t)?;
             }
         }
+        Ok(())
     }
 
     /// The cleaning pass (§III-D): repair every stale row (reconstruct-
@@ -1477,19 +1358,12 @@ impl KddEngine {
             self.stats.parity_updates += 1;
         }
         // Reclaim: free old pages, invalidate deltas (§III-D's "second
-        // scheme"). The tombstone is logged *before* anything is trimmed,
-        // so a crash mid-reclaim can only leak flash pages, never leave
-        // the log pointing at reclaimed ones.
+        // scheme"). A crash mid-reclaim can only leak flash pages, never
+        // leave the log pointing at reclaimed ones.
         for lba in self.pending_rows.take_row(row) {
             if let Some(slot) = self.cache.lookup(lba) {
                 debug_assert_eq!(self.cache.state(slot), PageState::Old);
-                self.log_entry(
-                    MapEntry { lba_raid: lba, slot, state: EntryState::Free, dez: None },
-                    t,
-                )?;
-                self.invalidate_delta(lba)?;
-                self.ssd.trim_page(self.slot_lpn(slot))?;
-                self.cache.free_slot(slot);
+                self.uncache(lba, slot, t)?;
             } else {
                 self.invalidate_delta(lba)?;
             }
@@ -1548,6 +1422,13 @@ impl KddEngine {
         let mut torn_detected = 0u64;
         let mut heal: Vec<CommitBatch<MapEntry>> = Vec::new();
         let mut recovered: FastMap<u64, MapEntry> = FastMap::default();
+        let apply = |recovered: &mut FastMap<u64, MapEntry>, e: MapEntry| {
+            if e.is_tombstone() {
+                recovered.remove(&e.key());
+            } else {
+                recovered.insert(e.key(), e);
+            }
+        };
         for seq in head..tail {
             let slot = seq % meta_pages;
             // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
@@ -1585,13 +1466,7 @@ impl KddEngine {
                     "metadata page {slot} (seq {seq}) torn or corrupt with no in-flight copy"
                 )));
             };
-            for e in entries {
-                if e.is_tombstone() {
-                    recovered.remove(&e.key());
-                } else {
-                    recovered.insert(e.key(), e);
-                }
-            }
+            entries.into_iter().for_each(|e| apply(&mut recovered, e));
         }
         // Redo the torn/lost pages from NVRAM so the flash log is whole
         // again before normal operation resumes.
@@ -1600,22 +1475,11 @@ impl KddEngine {
             self.persist_batches(heal, &mut t)?;
         }
         // 2. Apply the NVRAM metadata buffer (newer than anything logged).
-        for e in self.metalog.buffered_snapshot() {
-            if e.is_tombstone() {
-                recovered.remove(&e.key());
-            } else {
-                recovered.insert(e.key(), e);
-            }
-        }
+        self.metalog.buffered_snapshot().into_iter().for_each(|e| apply(&mut recovered, e));
 
         // 3. Rebuild the directory, DEZ accounting and pending rows.
-        let grouping = kdd_cache::setassoc::SetGrouping::ParityRow {
-            chunk_pages: self.raid.layout().chunk_pages,
-            data_disks: self.raid.layout().data_disks() as u64,
-        };
-        let mut cache = SetAssocCache::new_grouped(config.geometry, grouping);
-        let mut delta_loc: FastMap<u64, DeltaLoc> = FastMap::default();
-        let mut dez: FastMap<u32, DezInfo> = FastMap::default();
+        let mut cache = directory(&config, &self.raid);
+        let mut dez = DeltaZone::new(DezLayout::DIRECTORY, config.geometry.page_size);
         let mut pending_rows = PendingRows::default();
         for e in recovered.values() {
             match e.state {
@@ -1624,18 +1488,16 @@ impl KddEngine {
                     cache.insert_at(e.slot, e.lba_raid, PageState::Old);
                     pending_rows.add(self.raid.layout().row_of(e.lba_raid), e.lba_raid);
                     if let Some(r) = e.dez {
-                        delta_loc.insert(e.lba_raid, DeltaLoc::Dez(r));
-                        dez.entry(r.slot).or_default().lbas.insert(e.lba_raid);
+                        dez.place(e.lba_raid, r);
                     }
                 }
                 EntryState::Free => {}
             }
         }
-        for &slot in dez.keys() {
-            cache.occupy_delta_at(slot);
-        }
         // 4. Deltas still in the NVRAM staging buffer supersede DEZ copies
-        //    and imply the page is old with pending parity.
+        //    and imply the page is old with pending parity. A DEZ page
+        //    left without live deltas is not re-occupied: its slot may
+        //    already hold a newer clean page.
         let staged: Vec<u64> = self.nv.get().staging.snapshot().map(|(l, _)| l).collect();
         for lba in staged {
             let Some(slot) = cache.lookup(lba) else {
@@ -1646,16 +1508,14 @@ impl KddEngine {
                 self.nv.get_mut().staging.remove(lba);
                 continue;
             };
-            if let Some(DeltaLoc::Dez(r)) = delta_loc.get(&lba).copied() {
-                if let Some(info) = dez.get_mut(&r.slot) {
-                    info.lbas.remove(&lba);
-                }
-            }
-            delta_loc.insert(lba, DeltaLoc::Staged);
+            dez.stage(lba);
             if cache.state(slot) != PageState::Old {
                 cache.set_state(slot, PageState::Old);
             }
             pending_rows.add(self.raid.layout().row_of(lba), lba);
+        }
+        for slot in dez.slots() {
+            cache.occupy_delta_at(slot);
         }
 
         // 5. Rows whose parity update was in flight when power failed are
@@ -1672,84 +1532,46 @@ impl KddEngine {
         //    acknowledged data lives in the cache (base ⊕ delta), the
         //    array refuses unsafe degraded reads of stale rows, and the
         //    next clean/rebuild repairs them via delta-RMW.
-        let stale: Vec<u64> = self.raid.stale_rows().collect();
-        let failed = self.raid.failed_disks();
-        let mut resyncable: Vec<u64> = Vec::new();
-        for &row in &stale {
-            let degraded = self
-                .raid
-                .layout()
-                .row_lpns(row)
-                .iter()
-                .any(|&l| failed.contains(&self.raid.layout().locate(l).disk));
-            if !degraded {
-                resyncable.push(row);
-            }
-            for lba in self.raid.layout().row_lpns(row) {
-                if failed.contains(&self.raid.layout().locate(lba).disk) {
-                    continue;
-                }
-                let Some(slot) = cache.lookup(lba) else { continue };
-                // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
-                let mut data = vec![0u8; ps];
-                self.ssd.read_page(self.slot_lpn(slot), &mut data)?;
-                if cache.state(slot) == PageState::Old {
-                    let comp = match delta_loc.get(&lba) {
-                        Some(DeltaLoc::Staged) => self
-                            .nv
-                            .get()
-                            .staging
-                            .get(lba)
-                            .ok_or(EngineError::Inconsistent("staged delta index broken"))?
-                            // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
-                            .clone(),
-                        Some(DeltaLoc::Dez(r)) => {
-                            // kdd-waiver(KDD006): crash-recovery replay.
-                            let mut dpage = vec![0u8; ps];
-                            self.ssd.read_page(self.slot_lpn(r.slot), &mut dpage)?;
-                            // kdd-waiver(KDD006): crash-recovery replay.
-                            dpage[r.off as usize..r.off as usize + r.len as usize].to_vec()
-                        }
-                        None => {
-                            return Err(EngineError::Layout(format!(
-                                "old page {lba} has no delta after recovery"
-                            )))
-                        }
-                    };
-                    let delta = codec::decompress(&comp)?;
-                    xor_into(&mut data, &delta);
-                }
-                self.raid.write_no_parity_update(lba, &data)?;
-            }
-        }
-        let mut raid = self.raid;
-        if !resyncable.is_empty() {
-            raid.resync(Some(&resyncable))?;
-        }
-
-        Ok(KddEngine {
-            config,
-            ssd: self.ssd,
-            raid,
+        let mut engine = KddEngine {
             cache,
-            nv: self.nv,
-            metalog: self.metalog,
-            delta_loc,
             dez,
             pending_rows,
             stats: CacheStats { torn_pages_detected: torn_detected, ..CacheStats::default() },
-            meta_pages,
-            injector: self.injector,
-            mode: self.mode,
             pool: PagePool::new(ps),
-            recorder: self.recorder,
             last_class: HitClass::ReadMiss,
             last_comp_milli: 0,
             codec: codec::Compressor::new(),
             meta_defer: false,
             meta_pending: Vec::new(),
             cur_stages: StageTimes::new(),
-        })
+            ..self
+        };
+        let stale: Vec<u64> = engine.raid.stale_rows().collect();
+        let failed = engine.raid.failed_disks();
+        let mut resyncable: Vec<u64> = Vec::new();
+        let mut t = SimTime::ZERO;
+        for &row in &stale {
+            let lpns = engine.raid.layout().row_lpns(row);
+            let live: Vec<u64> = lpns
+                .iter()
+                .copied()
+                .filter(|&l| !failed.contains(&engine.raid.layout().locate(l).disk))
+                .collect();
+            if live.len() == lpns.len() {
+                resyncable.push(row);
+            }
+            for lba in live {
+                let Some(slot) = engine.cache.lookup(lba) else { continue };
+                let data = engine.read_cached(lba, slot, &mut t)?;
+                engine.raid.write_no_parity_update(lba, &data)?;
+            }
+        }
+        if !resyncable.is_empty() {
+            engine.raid.resync(Some(&resyncable))?;
+        }
+        // Recovery is not a request: drop what the reads above charged.
+        engine.cur_stages = StageTimes::new();
+        Ok(engine)
     }
 
     /// SSD failure (§III-E2): the cache is lost; the RAID re-synchronises
@@ -1772,18 +1594,12 @@ impl KddEngine {
         self.charge_raid(&cost);
         self.charge_stage(Stage::RaidReconstruct, DISK_OP * cost.ops.len() as u64, t);
         self.ssd.replace();
-        let grouping = kdd_cache::setassoc::SetGrouping::ParityRow {
-            chunk_pages: self.raid.layout().chunk_pages,
-            data_disks: self.raid.layout().data_disks() as u64,
-        };
-        self.cache = SetAssocCache::new_grouped(self.config.geometry, grouping);
+        self.cache = directory(&self.config, &self.raid);
         self.nv.get_mut().staging.drain();
-        self.metalog = MetaLog::new(self.meta_pages, (self.page_size() - META_HDR) / ENTRY_BYTES);
-        self.metalog.enable_inflight_tracking();
+        self.metalog = metadata_log(self.meta_pages, self.config.geometry.page_size);
         // Any pages parked by an in-flight batch belonged to the lost
         // cache's log; the fresh SSD starts from an empty mapping.
         self.meta_pending.clear();
-        self.delta_loc.clear();
         self.dez.clear();
         self.pending_rows = PendingRows::default();
         Ok(())
@@ -2083,5 +1899,36 @@ mod tests {
             .clean_trigger_slots() as usize;
         assert!(pinned <= trigger, "pinned pages unbounded: {pinned} > {trigger}");
         assert!(e.stats().parity_updates > 0);
+    }
+
+    #[test]
+    fn recovery_drops_dez_pages_whose_deltas_are_all_restaged() {
+        let mut e = engine(64);
+        let lbas: Vec<u64> = (0..8u64).collect();
+        for &lba in &lbas {
+            e.write(lba, &page(lba)).unwrap();
+        }
+        // Rewrites with ~100-byte deltas fill the 512-byte staging buffer
+        // and commit a DEZ page; its mappings are logged.
+        for &lba in &lbas {
+            e.write(lba, &similar_page(&page(lba), 7)).unwrap();
+        }
+        let slot = e.dez.slots().next().expect("a DEZ page was committed");
+        let members: Vec<u64> = e.dez.members(slot).collect();
+        // Writing the base content back stages an all-zero delta for each
+        // member, which empties (and frees) the page without logging.
+        for &lba in &members {
+            e.write(lba, &page(lba)).unwrap();
+        }
+        assert!(e.dez.members(slot).next().is_none());
+        // The log still places every member in that page; recovery must
+        // see that the staged copies supersede all of them.
+        let mut e2 = e.power_cycle().expect("recovery");
+        assert_eq!(e2.cache.count_state(PageState::Delta), e2.dez.len());
+        assert!(e2.dez.members(slot).next().is_none(), "emptied page re-occupied");
+        for &lba in &lbas {
+            let want = if members.contains(&lba) { page(lba) } else { similar_page(&page(lba), 7) };
+            assert_eq!(e2.read(lba).unwrap().0, want, "lba {lba}");
+        }
     }
 }

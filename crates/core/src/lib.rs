@@ -18,12 +18,16 @@
 //!   a serialised metadata log, and full §III-E failure recovery (power
 //!   loss, SSD loss, HDD loss).
 //!
+//! Both keep their Delta Zone bookkeeping (delta locations, DEZ pages,
+//! compaction picks, page packing) in one private module, `dez`.
+//!
 //! Supporting machinery: [`metalog`] (the circular persistent metadata
 //! log), [`staging`] (the NVRAM delta staging buffer), [`config`].
 
 #![warn(missing_docs)]
 
 pub mod config;
+mod dez;
 pub mod engine;
 pub mod metalog;
 pub mod policy;

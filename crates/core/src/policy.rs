@@ -26,6 +26,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::config::KddConfig;
+use crate::dez::{DeltaLoc, DeltaRef, DeltaZone, DezLayout, Dropped};
 use crate::metalog::{KeyEntry, MetaLog};
 use crate::staging::StagingBuffer;
 use kdd_cache::effects::{AccessOutcome, Effects};
@@ -35,29 +36,11 @@ use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::model::DeltaSizeModel;
 use kdd_trace::record::Op;
-use kdd_util::hash::FastMap;
 use kdd_util::lru::GhostList;
 
 /// Synthetic slot ids for statically-partitioned DEZ pages (kept above
 /// any real directory slot).
 const FIXED_DEZ_BASE: u32 = u32::MAX / 2;
-
-/// One DEZ page's live contents (for the accounting simulator: sizes
-/// only).
-#[derive(Debug, Clone, Default)]
-struct DezPage {
-    deltas: FastMap<u64, u32>,
-    bytes: u32,
-}
-
-/// Where a page's current delta lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeltaLoc {
-    /// Still in the NVRAM staging buffer.
-    Staged,
-    /// Packed into the DEZ page at this slot.
-    Dez(u32),
-}
 
 /// The KDD cache-management policy (accounting mode).
 ///
@@ -92,16 +75,11 @@ pub struct KddPolicy {
     staging: StagingBuffer<u32>,
     metalog: MetaLog<KeyEntry>,
     pending: PendingRows,
-    /// lba → current delta location (exists iff the page is *old*).
-    delta_loc: FastMap<u64, DeltaLoc>,
-    /// DEZ slot → its still-valid deltas (lba → compressed size).
-    dez: FastMap<u32, DezPage>,
+    /// Delta locations (one exists iff the page is *old*) and DEZ pages
+    /// (sizes only).
+    dez: DeltaZone,
     stats: CacheStats,
     config: KddConfig,
-    old_pages: u64,
-    delta_pages: u64,
-    /// Total live (valid) delta bytes across all DEZ pages.
-    dez_bytes: u64,
     /// LARC-style ghost list (lazy admission extension).
     ghost: Option<GhostList>,
     /// Fixed-partition mode: remaining reserved DEZ slots and the next
@@ -132,16 +110,12 @@ impl KddPolicy {
             cache: SetAssocCache::new_grouped(geometry, grouping),
             raid,
             model,
-            staging: StagingBuffer::new(config.staging_bytes),
+            staging: StagingBuffer::new(config.geometry.page_size),
             metalog: MetaLog::new(config.meta_partition_pages(), epp),
             pending: PendingRows::default(),
-            delta_loc: FastMap::default(),
-            dez: FastMap::default(),
+            dez: DeltaZone::new(DezLayout::COUNTING, config.geometry.page_size),
             stats: CacheStats::default(),
             config,
-            old_pages: 0,
-            delta_pages: 0,
-            dez_bytes: 0,
             ghost: config
                 .lazy_admission
                 .then(|| GhostList::new(config.geometry.total_pages as usize)),
@@ -152,12 +126,12 @@ impl KddPolicy {
 
     /// Pages currently in the *old* state.
     pub fn old_pages(&self) -> u64 {
-        self.old_pages
+        self.cache.count_state(PageState::Old) as u64
     }
 
     /// DEZ pages currently allocated.
     pub fn delta_pages(&self) -> u64 {
-        self.delta_pages
+        self.dez.len() as u64
     }
 
     /// Metadata-log snapshot (pages written, GC reclaims).
@@ -187,32 +161,12 @@ impl KddPolicy {
 
     /// Invalidate whatever delta `lba` currently has.
     fn invalidate_delta(&mut self, lba: u64) {
-        match self.delta_loc.remove(&lba) {
-            Some(DeltaLoc::Staged) => {
+        match self.dez.invalidate(lba) {
+            Dropped::Staged => {
                 self.staging.remove(lba);
             }
-            Some(DeltaLoc::Dez(slot)) => {
-                // A missing page or delta entry is an accounting bug; skip
-                // the invalidation (the mapping is already gone) rather
-                // than panicking mid-write.
-                let Some(page) = self.dez.get_mut(&slot) else {
-                    debug_assert!(false, "DEZ accounting broken");
-                    return;
-                };
-                let Some(size) = page.deltas.remove(&lba) else {
-                    debug_assert!(false, "delta index broken");
-                    return;
-                };
-                page.bytes -= size;
-                self.dez_bytes -= size as u64;
-                // "the DEZ page cannot be freed until the valid count
-                // reaches zero" — and then it is.
-                if page.deltas.is_empty() {
-                    self.dez.remove(&slot);
-                    self.free_dez_slot(slot);
-                }
-            }
-            None => {}
+            Dropped::Dez(Some(slot)) => self.free_dez_slot(slot),
+            Dropped::Dez(None) | Dropped::Nothing => {}
         }
     }
 
@@ -222,7 +176,6 @@ impl KddPolicy {
         } else {
             self.cache.free_slot(slot);
         }
-        self.delta_pages -= 1;
     }
 
     /// Pack the staged deltas into one DEZ page and commit it. The commit
@@ -244,19 +197,17 @@ impl KddPolicy {
             }
         };
         let drained = self.staging.drain();
-        debug_assert!(!drained.is_empty());
-        let mut page = DezPage::default();
+        // The staging buffer holds one page of payload, so a drain always
+        // packs into one page.
+        let refs = self.dez.pack(slot, drained.iter().map(|&(lba, size)| (lba, size as usize)));
+        debug_assert_eq!(refs.as_ref().map(Vec::len), Some(drained.len()));
         fx.ssd_delta_writes += 1;
         // Mapping entries for the affected old pages are logged only now
         // (§III-C): the (lba_dez, off, len) tuple is finally known.
-        for (lba, size) in drained {
-            page.bytes += size;
-            self.dez_bytes += size as u64;
-            page.deltas.insert(lba, size);
-            self.delta_loc.insert(lba, DeltaLoc::Dez(slot));
+        for (lba, r) in refs.into_iter().flatten() {
+            self.dez.place(lba, r);
             self.log_alloc(lba, fx);
         }
-        self.dez.insert(slot, page);
     }
 
     /// Log-structured DEZ garbage collection: rewrites invalidate deltas
@@ -266,37 +217,18 @@ impl KddPolicy {
     /// but under space pressure each merge (read two pages, rewrite one,
     /// free the other) buys back a cache slot.
     fn compact_dez(&mut self, fx: &mut Effects) {
-        let ps = self.config.geometry.page_size as u64;
-        while self.delta_pages >= 4 && self.dez_bytes * 100 < self.delta_pages * ps * 85 {
-            // The two emptiest pages.
-            let mut pages: Vec<(u32, u32)> = self.dez.iter().map(|(&s, p)| (s, p.bytes)).collect();
-            pages.sort_by_key(|&(_, b)| b);
-            let (dst, db) = pages[0];
-            let (src, sb) = pages[1];
-            if db as u64 + sb as u64 > ps {
-                break; // nothing merges; utilisation is as good as it gets
-            }
-            // Both keys were just sampled from `dez`, so the lookups hold
-            // unless the index is corrupt — then stop compacting.
-            let Some(spage) = self.dez.remove(&src) else {
-                debug_assert!(false, "DEZ index corrupt: src page vanished");
-                break;
-            };
+        while let Some((dst, src)) = self.dez.merge_pick() {
             fx.ssd_reads += 2; // read both victims
             fx.ssd_delta_writes += 1; // rewrite the merged page
-            let Some(dpage) = self.dez.get_mut(&dst) else {
-                debug_assert!(false, "DEZ index corrupt: dst page vanished");
-                self.dez.insert(src, spage); // undo: keep the live deltas reachable
-                break;
-            };
-            for (lba, size) in spage.deltas {
-                dpage.bytes += size;
-                dpage.deltas.insert(lba, size);
-                self.delta_loc.insert(lba, DeltaLoc::Dez(dst));
+                                      // The source's deltas join the destination page in place.
+            for lba in self.dez.take_page(src) {
+                if let Some(DeltaLoc::Dez(r)) = self.dez.loc(lba) {
+                    self.dez.place(lba, DeltaRef { slot: dst, ..r });
+                }
             }
             // Every delta in the merged page moved (new offsets): their
             // mapping entries are re-logged.
-            let moved: Vec<u64> = self.dez[&dst].deltas.keys().copied().collect();
+            let moved: Vec<u64> = self.dez.members(dst).collect();
             for lba in moved {
                 self.log_alloc(lba, fx);
             }
@@ -311,7 +243,6 @@ impl KddPolicy {
             }
             if self.fixed_dez_free > 0 {
                 self.fixed_dez_free -= 1;
-                self.delta_pages += 1;
                 let id = self.next_fixed_dez_id;
                 self.next_fixed_dez_id = self.next_fixed_dez_id.wrapping_add(1).max(FIXED_DEZ_BASE);
                 return Some(id);
@@ -319,31 +250,19 @@ impl KddPolicy {
             return None; // the static partition is full — that's the point
         }
         if let Some(slot) = self.cache.alloc_delta_slot() {
-            self.delta_pages += 1;
             return Some(slot);
         }
         self.compact_dez(fx);
         if let Some(slot) = self.cache.alloc_delta_slot() {
-            self.delta_pages += 1;
             return Some(slot);
         }
         // No free slot anywhere: evict a clean page to make room (clean
         // pages are always sacrificeable — the data is on RAID).
-        let victim = self
-            .cache
-            .iter_mapped()
-            .find(|&(_, _, s)| s == PageState::Clean)
-            .map(|(slot, lba, _)| (slot, lba));
-        if let Some((slot, lba)) = victim {
-            self.cache.free_slot(slot);
-            self.stats.evictions += 1;
-            self.log_free(lba, fx);
-            if let Some(slot) = self.cache.alloc_delta_slot() {
-                self.delta_pages += 1;
-                return Some(slot);
-            }
-        }
-        None
+        let (slot, lba, _) = self.cache.iter_mapped().find(|&(_, _, s)| s == PageState::Clean)?;
+        self.cache.free_slot(slot);
+        self.stats.evictions += 1;
+        self.log_free(lba, fx);
+        self.cache.alloc_delta_slot()
     }
 
     // ---- cleaning -----------------------------------------------------------
@@ -365,7 +284,7 @@ impl KddPolicy {
     fn clean_some(&mut self) -> Effects {
         let mut fx = Effects::default();
         let low = self.config.clean_trigger_slots() * 7 / 8;
-        while self.old_pages + self.delta_pages > low {
+        while self.dez.pinned(&self.cache) > low {
             let Some(row) = self.pending.oldest_row() else { break };
             fx += self.clean_row(row);
         }
@@ -390,7 +309,7 @@ impl KddPolicy {
             self.stats.parity_updates += 1;
             for lba in self.pending.take_row(row) {
                 // Decompress this page's delta (from NVRAM or DEZ).
-                if let Some(DeltaLoc::Dez(_)) = self.delta_loc.get(&lba) {
+                if let Some(DeltaLoc::Dez(_)) = self.dez.loc(lba) {
                     if !reconstruct {
                         fx.ssd_reads += 1;
                     }
@@ -406,14 +325,12 @@ impl KddPolicy {
                         // rewrite as a clean page — extra SSD program per
                         // victim, future write hits keep the delta path.
                         self.cache.set_state(slot, PageState::Clean);
-                        self.old_pages -= 1;
                         fx.ssd_data_writes += 1;
                         self.log_alloc(lba, &mut fx);
                     } else {
                         // Second scheme: "simply reclaims the old pages"
                         // — the paper's choice.
                         self.cache.free_slot(slot);
-                        self.old_pages -= 1;
                         self.log_free(lba, &mut fx);
                     }
                 }
@@ -439,19 +356,29 @@ impl KddPolicy {
         }
     }
 
+    /// Fold I/O done outside any access (idle cleaning, flush) into the
+    /// stats.
+    fn account(&mut self, fx: &Effects) {
+        self.stats.ssd_meta_writes += fx.ssd_meta_writes as u64;
+        self.stats.ssd_data_writes += fx.ssd_data_writes as u64;
+        self.stats.ssd_delta_writes += fx.ssd_delta_writes as u64;
+        self.stats.ssd_reads += fx.ssd_reads as u64;
+        self.stats.raid_reads += fx.raid_reads as u64;
+        self.stats.raid_writes += fx.raid_writes as u64;
+    }
+
     fn maybe_clean(&mut self, bg: &mut Effects) {
         let trigger = self.config.clean_trigger_slots();
-        let pinned = self.old_pages + self.delta_pages;
         // Space pressure builds: first squeeze fragmentation out of the
         // DEZ (cheap, preserves the delta path), then clean rows.
-        if pinned * 4 >= trigger * 3 {
+        if self.dez.pinned(&self.cache) * 4 >= trigger * 3 {
             *bg += {
                 let mut fx = Effects::default();
                 self.compact_dez(&mut fx);
                 fx
             };
         }
-        if self.old_pages + self.delta_pages >= trigger {
+        if self.dez.pinned(&self.cache) >= trigger {
             *bg += self.clean_some();
         }
     }
@@ -480,7 +407,8 @@ impl KddPolicy {
         }
     }
 
-    /// Clean the oldest pending row whose pages map to `set`. Returns
+    /// Clean one pending row whose pages map to `set` (the first
+    /// [`PendingRows::row_ids`] yields, in its hash-map order). Returns
     /// false when none exists.
     fn clean_one_row_in_set(&mut self, set: usize, bg: &mut Effects) -> bool {
         let row = self.pending.row_ids().into_iter().find(|&row| {
@@ -513,7 +441,7 @@ impl CachePolicy for KddPolicy {
                     PageState::Old => {
                         // Combine old data + latest delta. Data and delta
                         // are fetched concurrently over distinct channels.
-                        match self.delta_loc.get(&lba) {
+                        match self.dez.loc(lba) {
                             Some(DeltaLoc::Dez(_)) => {
                                 fx.ssd_reads += 2;
                                 fx.ssd_read_rounds += 1;
@@ -544,7 +472,6 @@ impl CachePolicy for KddPolicy {
                 self.cache.touch(slot);
                 if self.cache.state(slot) == PageState::Clean {
                     self.cache.set_state(slot, PageState::Old);
-                    self.old_pages += 1;
                 }
                 let size = self.model.delta_size(page_size);
                 fx.compressions += 1;
@@ -554,7 +481,7 @@ impl CachePolicy for KddPolicy {
                 }
                 if self.staging.fits(lba, &size) {
                     self.staging.insert(lba, size);
-                    self.delta_loc.insert(lba, DeltaLoc::Staged);
+                    self.dez.stage(lba);
                     fx += self.raid.data_write_effects();
                     self.pending.add(self.raid.row_of(lba), lba);
                 } else {
@@ -564,7 +491,6 @@ impl CachePolicy for KddPolicy {
                     // pending delta.
                     if let Some(slot) = self.cache.lookup(lba) {
                         self.cache.set_state(slot, PageState::Clean);
-                        self.old_pages -= 1;
                     }
                     self.pending.remove(self.raid.row_of(lba), lba);
                     fx.ssd_data_writes += 1;
@@ -607,12 +533,7 @@ impl CachePolicy for KddPolicy {
             self.commit_staging(&mut fx);
         }
         self.stats.cleanings += 1;
-        self.stats.ssd_meta_writes += fx.ssd_meta_writes as u64;
-        self.stats.ssd_data_writes += fx.ssd_data_writes as u64;
-        self.stats.ssd_delta_writes += fx.ssd_delta_writes as u64;
-        self.stats.ssd_reads += fx.ssd_reads as u64;
-        self.stats.raid_reads += fx.raid_reads as u64;
-        self.stats.raid_writes += fx.raid_writes as u64;
+        self.account(&fx);
         fx
     }
 
@@ -622,12 +543,7 @@ impl CachePolicy for KddPolicy {
         // itself is flushed.
         self.commit_staging(&mut fx);
         fx.ssd_meta_writes += self.metalog.flush().len() as u32;
-        self.stats.ssd_meta_writes += fx.ssd_meta_writes as u64;
-        self.stats.ssd_data_writes += fx.ssd_data_writes as u64;
-        self.stats.ssd_delta_writes += fx.ssd_delta_writes as u64;
-        self.stats.ssd_reads += fx.ssd_reads as u64;
-        self.stats.raid_reads += fx.raid_reads as u64;
-        self.stats.raid_writes += fx.raid_writes as u64;
+        self.account(&fx);
         fx
     }
 }

@@ -1,11 +1,10 @@
 //! Hand-rolled JSON value with a byte-stable renderer and strict parser.
 //!
-//! The vendored `serde_json` stand-in renders Debug output, which is not
-//! parseable JSON, so every machine-readable artifact in the workspace
-//! (the `kdd-obs` snapshots here, the `kdd-perfbench/v1` trajectory
-//! files in `kdd-bench`) goes through this module instead: objects,
-//! arrays, strings, f64 numbers and booleans — exactly the subset those
-//! schemas use. Objects render from a `BTreeMap`, so the same document
+//! Every machine-readable artifact in the workspace (the `kdd-obs`
+//! snapshots here, the `kdd-perfbench/v1` trajectory files and the
+//! `repro --json` result rows in `kdd-bench`) goes through this module:
+//! objects, arrays, strings, f64 numbers and booleans — exactly the
+//! subset those schemas use. Objects render from a `BTreeMap`, so the same document
 //! always serialises to the same bytes (KDD003 determinism).
 
 use std::collections::BTreeMap;
@@ -70,14 +69,25 @@ impl Json {
     }
 
     /// Render as pretty-printed JSON text (2-space indent, trailing newline).
+    /// Non-integral numbers keep three decimals.
     pub fn render(&self) -> String {
+        self.render_with(false)
+    }
+
+    /// Like [`Json::render`], but every number in its shortest form that
+    /// parses back to the same `f64` (non-finite numbers become `null`).
+    pub fn render_exact(&self) -> String {
+        self.render_with(true)
+    }
+
+    fn render_with(&self, exact: bool) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, 0, exact);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    fn write(&self, out: &mut String, indent: usize, exact: bool) {
         let pad = "  ".repeat(indent);
         let pad_in = "  ".repeat(indent + 1);
         match self {
@@ -85,7 +95,7 @@ impl Json {
             Json::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
-            Json::Num(n) => write_num(out, *n),
+            Json::Num(n) => write_num(out, *n, exact),
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -95,7 +105,7 @@ impl Json {
                 out.push_str("[\n");
                 for (i, item) in items.iter().enumerate() {
                     out.push_str(&pad_in);
-                    item.write(out, indent + 1);
+                    item.write(out, indent + 1, exact);
                     if i + 1 < items.len() {
                         out.push(',');
                     }
@@ -114,7 +124,7 @@ impl Json {
                     out.push_str(&pad_in);
                     write_str(out, k);
                     out.push_str(": ");
-                    v.write(out, indent + 1);
+                    v.write(out, indent + 1, exact);
                     if i + 1 < map.len() {
                         out.push(',');
                     }
@@ -127,8 +137,16 @@ impl Json {
     }
 }
 
-fn write_num(out: &mut String, n: f64) {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
+fn write_num(out: &mut String, n: f64, exact: bool) {
+    if exact {
+        // `Display` for f64 is the shortest round-trip form, never in
+        // exponent notation, so it is always a valid JSON number.
+        if n.is_finite() {
+            let _ = write!(out, "{n}");
+        } else {
+            out.push_str("null");
+        }
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
         // The range check above keeps the cast exact.
         #[allow(clippy::cast_possible_truncation)]
         let _ = write!(out, "{}", n as i64);

@@ -9,6 +9,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use kdd::delta::content::PageMutator;
+use kdd::engine::EngineError;
 use kdd::prelude::*;
 use kdd::raid::array::RaidError;
 use kdd::util::rng::seeded_rng;
@@ -559,4 +560,101 @@ fn member_drop_mid_churn_degrades_and_rebuilds() {
         let (data, _) = engine.read(*lba).unwrap();
         assert_eq!(&data, v, "lba {lba} lost across member drop + rebuild");
     }
+}
+
+/// The DEZ-pressure workload of the engine's compaction unit test: 96
+/// hot 512-byte pages written once, then rewritten three times with small
+/// deltas, so staging commits, DEZ compaction and clean-page evictions
+/// all run. Returns the engine and its (empty-plan unless given) injector.
+fn dez_pressure_engine(plan: FaultPlan) -> (KddEngine, FaultInjector) {
+    let layout = Layout::new(RaidLevel::Raid5, 5, 4, 4 * 32);
+    let raid = RaidArray::new(layout, SPS);
+    let ssd = SsdDevice::with_logical_capacity((128 + 64) * SPS as u64, SPS, 0.1);
+    let geometry = CacheGeometry { total_pages: 128, ways: 8, page_size: SPS };
+    let mut config = KddConfig::new(geometry);
+    config.meta_partition_frac = 0.08;
+    let mut engine = KddEngine::new(config, ssd, raid).expect("engine");
+    let injector = FaultInjector::new(plan);
+    engine.attach_fault_injector(injector.clone());
+    (engine, injector)
+}
+
+fn dez_pressure_workload(
+    engine: &mut KddEngine,
+    versions: &mut std::collections::BTreeMap<u64, Vec<u8>>,
+) -> Result<(), EngineError> {
+    let page = |tag: u64| -> Vec<u8> {
+        (0..SPS as usize).map(|i| (tag as u8) ^ (i as u8).wrapping_mul(13)).collect()
+    };
+    let lbas: Vec<u64> = (0..96u64).map(|i| (i / 8) * 16 + i % 8).collect();
+    for &lba in &lbas {
+        let p = page(lba);
+        engine.write(lba, &p)?;
+        versions.insert(lba, p);
+    }
+    for round in 0..3u8 {
+        let tag = round.wrapping_mul(91) | 1;
+        for &lba in &lbas {
+            // Change ~10% of the bytes, clustered.
+            let mut next = versions[&lba].clone();
+            for i in 0..SPS as usize / 10 {
+                next[(i * 7) % SPS as usize] = tag ^ i as u8;
+            }
+            engine.write(lba, &next)?;
+            versions.insert(lba, next);
+        }
+    }
+    Ok(())
+}
+
+/// Read every page back; returns the lbas whose bytes differ from the
+/// acknowledged version.
+fn wrong_reads(
+    engine: &mut KddEngine,
+    versions: &std::collections::BTreeMap<u64, Vec<u8>>,
+) -> Result<Vec<u64>, EngineError> {
+    let mut wrong = Vec::new();
+    for (lba, v) in versions {
+        if &engine.read(*lba)?.0 != v {
+            wrong.push(*lba);
+        }
+    }
+    Ok(wrong)
+}
+
+/// One transient SSD fault at every op position of the DEZ-pressure
+/// workload and its read-back: the retry-once policy must absorb it, and
+/// every page must read back as its acknowledged bytes. A slot the
+/// engine mapped before a failed flash write or victim tombstone would
+/// otherwise serve (or build deltas against) stale flash.
+#[test]
+fn one_transient_ssd_fault_anywhere_never_yields_a_wrong_read() {
+    let (mut engine, injector) = dez_pressure_engine(FaultPlan::new());
+    let mut versions = std::collections::BTreeMap::new();
+    dez_pressure_workload(&mut engine, &mut versions).expect("fault-free run");
+    assert_eq!(
+        wrong_reads(&mut engine, &versions).expect("fault-free read-back"),
+        Vec::<u64>::new()
+    );
+    let total_ops = injector.op_count();
+    assert!(total_ops > 1000, "workload too small to sweep ({total_ops} ops)");
+
+    let mut wrong: Vec<(u64, u64)> = Vec::new();
+    for at in 0..total_ops {
+        let (mut engine, injector) =
+            dez_pressure_engine(FaultPlan::new().transient(at, FaultDomain::Ssd));
+        let mut versions = std::collections::BTreeMap::new();
+        let outcome = dez_pressure_workload(&mut engine, &mut versions)
+            .and_then(|()| wrong_reads(&mut engine, &versions));
+        let lbas = outcome
+            .unwrap_or_else(|e| panic!("fault at op {at}: the retry did not absorb it: {e}"));
+        assert_eq!(injector.counters().transient, 1, "fault at op {at} never fired");
+        wrong.extend(lbas.into_iter().map(|lba| (at, lba)));
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} wrong reads over {total_ops} fault positions; first (op, lba): {:?}",
+        wrong.len(),
+        wrong.first()
+    );
 }
